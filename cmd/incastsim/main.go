@@ -20,10 +20,8 @@ import (
 	"incastproxy/internal/cliutil"
 	"incastproxy/internal/control"
 	"incastproxy/internal/model"
+	"incastproxy/internal/obs"
 	"incastproxy/internal/runner"
-	"incastproxy/internal/sim"
-	"incastproxy/internal/topo"
-	"incastproxy/internal/trace"
 	"incastproxy/internal/units"
 )
 
@@ -42,7 +40,7 @@ func main() {
 		queueCSV    = flag.String("queue-csv", "", "write receiver/proxy down-ToR queue time series to this CSV file")
 		manifest    = flag.Bool("manifest", false, "print each run's manifest (seed, config hash)")
 		policyFlag  = flag.String("policy", "", "adaptive controller thresholds, key=value,... applied over defaults (scheme adaptive; see internal/control)")
-		shards      = flag.Int("shards", 0, "event shards for the parallel engine (0 = classic single engine; 2 = one per DC, up to 2+backbones); results are byte-identical at any setting; not supported with scheme adaptive")
+		shards      = flag.Int("shards", 0, "event shards for the parallel engine (0 = one shard, stopped right after the last flow finishes; 2 = one per DC, up to 2+backbones); results are byte-identical at any setting; not supported with scheme adaptive, -trace or -queue-csv")
 		shardWork   = flag.Int("shard-workers", 0, "goroutines driving the event shards (0 = one per shard); requires -shards")
 		leaves      = flag.Int("leaves", 0, "override leaf switches per DC (0 = default topology)")
 		servers     = flag.Int("servers-per-leaf", 0, "override servers per leaf (0 = default topology); raise with -leaves for 10k-sender epochs")
@@ -80,7 +78,7 @@ func main() {
 		fatal(err)
 	}
 
-	var recorders []*trace.Recorder
+	var queues []*obs.SeriesSet
 	var traces []*incastproxy.Tracer
 	var baseline incastproxy.Duration
 	for _, s := range schemes {
@@ -100,20 +98,14 @@ func main() {
 		if s == incastproxy.SchemeAdaptive {
 			spec.Control = policy
 		}
-		if *traceJSON != "" {
+		if *traceJSON != "" || *queueCSV != "" {
 			spec.Runs = 1 // one trace per scheme
 			spec.Obs = &incastproxy.ObsConfig{Trace: true}
 		}
 		if *queueCSV != "" {
-			scheme := s
-			spec.Runs = 1
-			spec.OnBuild = func(net *topo.Network, e *sim.Engine) {
-				r := trace.New(units.Duration(100*units.Microsecond), units.MaxTime)
-				r.Watch(fmt.Sprintf("%v/receiver-tor", scheme), net.DownToRPort(net.Hosts[1][0]))
-				r.Watch(fmt.Sprintf("%v/proxy-tor", scheme), net.DownToRPort(net.Hosts[0][len(net.Hosts[0])-1]))
-				r.Start(e)
-				recorders = append(recorders, r)
-			}
+			// The queue series are the trace's down-ToR occupancy
+			// counter tracks, sampled every 100 us of virtual time.
+			spec.Obs.QueueSampleEvery = 100 * units.Microsecond
 		}
 		res, err := incastproxy.RunIncast(spec)
 		if err != nil {
@@ -122,6 +114,12 @@ func main() {
 		rr := res.Runs[0]
 		if rr.Trace != nil {
 			traces = append(traces, rr.Trace)
+		}
+		if *queueCSV != "" {
+			q := &obs.SeriesSet{}
+			q.AddCounter(rr.Trace, "queue", "queue recv-tor", fmt.Sprintf("%v/receiver-tor", s))
+			q.AddCounter(rr.Trace, "queue", "queue proxy-tor", fmt.Sprintf("%v/proxy-tor", s))
+			queues = append(queues, q)
 		}
 		fmt.Printf("%-18s ICT avg=%v min=%v max=%v", s, res.ICT.Avg(), res.ICT.Min(), res.ICT.Max())
 		if s == incastproxy.Baseline {
@@ -166,17 +164,17 @@ func main() {
 		fmt.Printf("chrome trace written to %s (open in https://ui.perfetto.dev)\n", *traceJSON)
 	}
 
-	if *queueCSV != "" && len(recorders) > 0 {
+	if *queueCSV != "" && len(queues) > 0 {
 		f, err := os.Create(*queueCSV)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		for i, r := range recorders {
+		for i, q := range queues {
 			if i > 0 {
 				fmt.Fprintln(f)
 			}
-			if err := r.WriteCSV(f); err != nil {
+			if err := q.WriteCSV(f); err != nil {
 				fatal(err)
 			}
 		}

@@ -108,6 +108,33 @@ func TestLossTrackerFlowEviction(t *testing.T) {
 	}
 }
 
+// Flush must expire flows in ascending flow-ID order: it feeds NACKs onto
+// the wire, so map-order iteration made same-seed inferring-proxy runs
+// diverge. Many flows make an accidentally sorted map walk vanishingly
+// unlikely.
+func TestLossTrackerFlushOrdered(t *testing.T) {
+	const flows = 64
+	for trial := 0; trial < 5; trial++ {
+		lt := NewLossTracker(LossTrackerConfig{ReorderDelay: 10 * units.Microsecond, MaxFlows: 2 * flows})
+		for i := 0; i < flows; i++ {
+			// Insert in a scrambled order; seqs 0 and 3 leave holes 1, 2.
+			f := uint64((i*37)%flows + 1)
+			lt.Observe(f, 0, us(0))
+			lt.Observe(f, 3, us(0))
+		}
+		losses := lt.Flush(us(100))
+		if len(losses) != 2*flows {
+			t.Fatalf("flushed %d losses, want %d", len(losses), 2*flows)
+		}
+		for i, l := range losses {
+			want := Loss{Flow: uint64(i/2 + 1), Seq: uint64(i%2 + 1)}
+			if l != want {
+				t.Fatalf("trial %d: loss %d = %+v, want %+v (not in (flow, seq) order)", trial, i, l, want)
+			}
+		}
+	}
+}
+
 // Property: a random permutation bounded by maxDisplacement packets and
 // delivered densely in time never produces false positives, and dropping a
 // random subset always flags exactly the dropped sequences after a flush.

@@ -11,6 +11,8 @@
 package detect
 
 import (
+	"slices"
+
 	"incastproxy/internal/units"
 )
 
@@ -83,6 +85,7 @@ type LossTracker struct {
 	cfg   LossTrackerConfig
 	flows map[uint64]*flowTrack
 	clock uint64
+	ids   []uint64 // Flush scratch: flow IDs in ascending order
 	Stats LossTrackerStats
 }
 
@@ -119,11 +122,19 @@ func (t *LossTracker) Observe(flow, seq uint64, now units.Time) []Loss {
 }
 
 // Flush declares all holes of every flow older than ReorderDelay lost,
-// without needing a new arrival. Callers invoke it from a timer.
+// without needing a new arrival. Callers invoke it from a timer. Losses come
+// back in (flow, seq) order: flows are expired in ascending ID order, never
+// in map order, so the NACKs a caller sends from them are deterministic.
 func (t *LossTracker) Flush(now units.Time) []Loss {
+	ids := t.ids[:0]
+	for f := range t.flows {
+		ids = append(ids, f)
+	}
+	slices.Sort(ids)
+	t.ids = ids
 	var losses []Loss
-	for f, ft := range t.flows {
-		losses = t.expire(f, ft, now, losses)
+	for _, f := range ids {
+		losses = t.expire(f, t.flows[f], now, losses)
 	}
 	return losses
 }

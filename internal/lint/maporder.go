@@ -153,7 +153,26 @@ func rootObject(pass *Pass, e ast.Expr) types.Object {
 
 // checkMapRangeBody flags ordered sinks inside one map-range body.
 func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorts []sortCall) {
+	// escapes reports whether obj outlives the loop and is never sorted
+	// afterwards; a slice declared inside the body is iteration-local, so
+	// its order can't escape.
+	escapes := func(obj types.Object) bool {
+		if obj == nil || (obj.Pos() >= rs.Body.Pos() && obj.Pos() <= rs.Body.End()) {
+			return false
+		}
+		return !sortedAfter(obj, rs, sorts)
+	}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		// x = f(…, x): a slice threaded through a helper that appends to
+		// it accumulates in iteration order just like a direct append.
+		if as, ok := n.(*ast.AssignStmt); ok {
+			if obj, callee := accumulatorCall(pass, as); escapes(obj) {
+				pass.Reportf(as.Pos(),
+					"%s accumulated through %s inside range over map with no subsequent sort: iteration order is randomized per run (sort before emitting)",
+					obj.Name(), callee)
+			}
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -161,21 +180,11 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorts []sortCall) {
 		// append(dst, ...) to a slice that outlives the loop and is never
 		// sorted afterwards.
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" && len(call.Args) > 0 {
-			obj := rootObject(pass, call.Args[0])
-			if obj == nil {
-				return true
+			if obj := rootObject(pass, call.Args[0]); escapes(obj) {
+				pass.Reportf(call.Pos(),
+					"append to %s inside range over map with no subsequent sort: iteration order is randomized per run (sort before emitting)",
+					obj.Name())
 			}
-			// Declared inside the loop body: iteration-local, order can't
-			// escape.
-			if obj.Pos() >= rs.Body.Pos() && obj.Pos() <= rs.Body.End() {
-				return true
-			}
-			if sortedAfter(obj, rs, sorts) {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"append to %s inside range over map with no subsequent sort: iteration order is randomized per run (sort before emitting)",
-				obj.Name())
 			return true
 		}
 		// Writer/encoder/tracer emission per iteration.
@@ -187,6 +196,37 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorts []sortCall) {
 		}
 		return true
 	})
+}
+
+// accumulatorCall matches `x = f(…, x, …)` where x is a slice and f is not
+// append (direct appends are matched on the call itself), returning x's
+// object and the callee's name; nil when as is any other statement.
+func accumulatorCall(pass *Pass, as *ast.AssignStmt) (types.Object, string) {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil, ""
+	}
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok {
+		return nil, ""
+	}
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
+		return nil, ""
+	}
+	lhs := rootObject(pass, as.Lhs[0])
+	if lhs == nil {
+		return nil, ""
+	}
+	if t := pass.TypeOf(as.Lhs[0]); t == nil {
+		return nil, ""
+	} else if _, isSlice := t.Underlying().(*types.Slice); !isSlice {
+		return nil, ""
+	}
+	for _, a := range call.Args {
+		if rootObject(pass, a) == lhs {
+			return lhs, calleeName(call)
+		}
+	}
+	return nil, ""
 }
 
 // sortedAfter reports whether obj is passed to a sort-named call positioned

@@ -80,3 +80,35 @@ func loopLocal(w io.Writer, m map[string][]byte) {
 		_ = line
 	}
 }
+
+type tracker struct{ holes map[int][]int }
+
+func (t *tracker) expire(k int, out []int) []int { return append(out, t.holes[k]...) }
+
+// accumulateViaHelper threads the result slice through a helper that
+// appends to it: still iteration-ordered output.
+func (t *tracker) accumulateViaHelper() []int {
+	var out []int
+	for k := range t.holes {
+		out = t.expire(k, out) // want `out accumulated through t\.expire inside range over map with no subsequent sort`
+	}
+	return out
+}
+
+func (t *tracker) accumulateThenSort() []int {
+	var out []int
+	for k := range t.holes {
+		out = t.expire(k, out)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func (t *tracker) nonAccumulatingCall() []int {
+	var out []int
+	for k := range t.holes {
+		out = t.expire(k, nil) // the slice is not threaded through: no finding
+		_ = out
+	}
+	return nil
+}

@@ -49,11 +49,10 @@ func (s *Series) Mean() int64 {
 	return sum / int64(len(s.Points))
 }
 
-// SeriesSet is a group of series sharing one export. Unlike the old
-// trace.Recorder CSV writer — which aligned rows by sample index, silently
-// misattributing timestamps whenever series had different lengths — the set
-// merges rows on the union of all timestamps in time order, leaving cells
-// blank where a series has no sample at that instant.
+// SeriesSet is a group of series sharing one export. The set merges rows on
+// the union of all timestamps in time order, leaving cells blank where a
+// series has no sample at that instant; aligning rows by sample index
+// instead would misattribute timestamps whenever series differ in length.
 type SeriesSet struct {
 	Series []*Series
 }
@@ -62,6 +61,19 @@ type SeriesSet struct {
 func (ss *SeriesSet) Add(label string) *Series {
 	s := &Series{Label: label}
 	ss.Series = append(ss.Series, s)
+	return s
+}
+
+// AddCounter registers a series under label holding every sample of the
+// tracer's counter track name in category cat, in record order — e.g. the
+// "queue <port>" occupancy tracks a traced simulation run samples.
+func (ss *SeriesSet) AddCounter(t *Tracer, cat, name, label string) *Series {
+	s := ss.Add(label)
+	for _, ev := range t.Events() {
+		if ev.Ph == PhaseCounter && ev.Cat == cat && ev.Name == name {
+			s.Add(ev.At, int64(ev.Val))
+		}
+	}
 	return s
 }
 

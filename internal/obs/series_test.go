@@ -75,3 +75,36 @@ func TestSeriesPeakMean(t *testing.T) {
 		t.Fatalf("mean = %d", s.Mean())
 	}
 }
+
+// A tracer's counter tracks export through the same union-merged CSV:
+// only the named track of the named category lands in a column.
+func TestSeriesSetAddCounter(t *testing.T) {
+	tr := NewTracer()
+	for i := 0; i <= 2; i++ {
+		at := units.Time(i) * 10 * us
+		tr.Count(at, "queue", "queue a", 0, float64(100*i))
+		tr.Count(at, "queue", "queue b", 0, float64(i))
+		tr.Count(at, "transport", "queue a", 0, -1) // other category: ignored
+	}
+	tr.Instant(5*us, "queue", "queue a", 0) // not a counter: ignored
+	ss := &SeriesSet{}
+	if got := ss.AddCounter(tr, "queue", "queue a", "a"); len(got.Points) != 3 {
+		t.Fatalf("queue a: %d points, want 3", len(got.Points))
+	}
+	ss.AddCounter(tr, "queue", "queue b", "b")
+	ss.AddCounter(nil, "queue", "queue a", "untraced") // nil tracer: empty column
+	var b bytes.Buffer
+	if err := ss.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join([]string{
+		"time_us,a,b,untraced",
+		"0.000000,0,0,",
+		"10.000000,100,1,",
+		"20.000000,200,2,",
+		"",
+	}, "\n")
+	if b.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
+	}
+}

@@ -314,13 +314,14 @@ func (g *ShardGroup) MergedSnapshot() obs.Snapshot {
 
 // Instrument exports the group's progress to a metrics registry under the
 // same series names Engine.Instrument uses (summed across shards; virtual
-// time is the group clock), plus the barrier round count. Every exported
-// value is a pure function of the simulation content, not of the partition,
-// so instrumented artifacts compare byte-identical across shard counts.
+// time is the group clock), so a 1-shard group exports exactly what its lone
+// engine would. Every exported value is a pure function of the simulation
+// content, not of the partition, so instrumented artifacts compare
+// byte-identical across shard counts. The barrier round count stays off the
+// registry (see Rounds): it is an execution detail of the group.
 func (g *ShardGroup) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("sim_events_dispatched_total", g.Processed)
 	reg.CounterFunc("sim_events_scheduled_total", g.Scheduled)
 	reg.GaugeFunc("sim_pending_events", func() int64 { return int64(g.Pending()) })
 	reg.GaugeFunc("sim_virtual_time_us", func() int64 { return int64(g.Now()) / int64(units.Microsecond) })
-	reg.CounterFunc("sim_shard_rounds_total", func() uint64 { return g.rounds })
 }

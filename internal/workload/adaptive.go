@@ -18,21 +18,11 @@ import (
 	"fmt"
 
 	"incastproxy/internal/control"
-	"incastproxy/internal/faults"
 	"incastproxy/internal/netsim"
-	"incastproxy/internal/proxy"
-	"incastproxy/internal/rng"
 	"incastproxy/internal/sim"
-	"incastproxy/internal/stats"
 	"incastproxy/internal/topo"
-	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
-
-// crossFlowBase offsets cross-traffic flow IDs above every other ID family
-// (data flows low, naive down-flows at 1<<20, re-steer legs at odd multiples
-// of 1<<21, probes at control.ProbeFlowBase = 1<<22).
-const crossFlowBase netsim.FlowID = 1 << 23
 
 // adaptiveFlowID returns the flow ID of leg ord of flow i: the base ID for
 // the first leg, then odd multiples of 1<<21 — a family disjoint from the
@@ -45,80 +35,10 @@ func adaptiveFlowID(i, ord int) netsim.FlowID {
 	return f
 }
 
-// startCrossTraffic launches spec.CrossTraffic background flows from idle
-// DC0 hosts into the proxy host. Their senders are deliberately kept out of
-// the run's aggregate sender stats: they are environment, not workload.
-func startCrossTraffic(e *sim.Engine, net *topo.Network, spec Spec,
-	proxyHost *netsim.Host, ro *runObs) error {
-	ct := spec.CrossTraffic
-	if ct.Flows <= 0 {
-		return nil
-	}
-	if ct.Bytes <= 0 {
-		return fmt.Errorf("workload: cross-traffic flows need Bytes > 0")
-	}
-	hostsDC0 := net.Hosts[0]
-	avail := hostsDC0[spec.Degree : len(hostsDC0)-1]
-	if ct.Flows > len(avail) {
-		return fmt.Errorf("workload: %d cross-traffic flows need idle hosts, only %d available",
-			ct.Flows, len(avail))
-	}
-	for j := 0; j < ct.Flows; j++ {
-		snd := avail[j]
-		flow := crossFlowBase + netsim.FlowID(j+1)
-		rtt := net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize)
-		iw := net.BottleneckRate(snd, proxyHost).BDP(rtt)
-		c := transport.Config{
-			MSS:         spec.MSS,
-			InitWindow:  iw,
-			ExpectedRTT: rtt,
-			InitRTO:     3*rtt + spec.Topo.LinkRate.TransmitTime(units.ByteSize(ct.Flows)*iw),
-		}
-		r := transport.NewReceiver(proxyHost, flow, snd.ID(), ct.Bytes, nil)
-		proxyHost.Bind(flow, r)
-		s := transport.NewSender(snd, flow, proxyHost.ID(), 0, ct.Bytes, c, nil)
-		s.Attach(ro.tel, fmt.Sprintf("cross %d", flow))
-		snd.Bind(flow, s)
-		if at := ct.StartAt + units.Duration(j)*ct.Stagger; at > 0 {
-			e.Schedule(units.Time(at), s.Start)
-		} else {
-			s.Start(e)
-		}
-	}
-	return nil
-}
-
-// injectProxyFaults arms the spec's proxy-crash fault, if any.
-func injectProxyFaults(e *sim.Engine, spec Spec, proxyHost *netsim.Host,
-	seed int64, ro *runObs) *faults.Injector {
-	if spec.ProxyCrashAt <= 0 {
-		return nil
-	}
-	inj := faults.New(e, seed)
-	inj.SetTracer(ro.tracer)
-	inj.Instrument(ro.reg)
-	inj.CrashHost(proxyHost, units.Time(spec.ProxyCrashAt), spec.ProxyRestartAfter)
-	return inj
-}
-
-// runAdaptive simulates one incast under the adaptive control plane.
-func runAdaptive(spec Spec, seed int64) (RunResult, error) {
-	e := sim.New()
-	cfg := spec.Topo
-	cfg.Seed = seed
-	// The proxy path must trim from the first steered byte. Trimming in
-	// the sending DC is the streamlined scheme's operating mode and does
-	// not hurt the direct phase: its congestion point is the remote ToR.
-	cfg.TrimDC[0] = true
-	if spec.TrimReceiverDC {
-		cfg.TrimDC[1] = true
-	}
-	net := topo.Build(e, cfg)
-	if spec.OnBuild != nil {
-		spec.OnBuild(net, e)
-	}
-
-	cc := spec.Control
+// adaptiveControl resolves the controller config for fabric cfg (zero
+// SamplePeriod: control.DefaultConfig tuned to the fabric; zero
+// OverflowBytes: the receiver ToR queue capacity) and validates it.
+func adaptiveControl(cc control.Config, cfg topo.Config) (control.Config, error) {
 	defaulted := cc.SamplePeriod == 0
 	if defaulted {
 		cc = control.DefaultConfig()
@@ -139,32 +59,47 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 			cc.DecayDepth = cc.OnsetDepth / 8
 		}
 	}
-	if err := cc.Validate(); err != nil {
-		return RunResult{}, err
+	return cc, cc.Validate()
+}
+
+// adaptiveEpoch is the adaptive scheme's decision record for one run.
+type adaptiveEpoch struct {
+	ctrl         *control.Controller
+	rehomedFlows int
+	rehomedBytes units.ByteSize
+	keptDirect   int
+}
+
+// report copies the decision record onto rr; a nil record (a static
+// scheme) leaves rr untouched.
+func (a *adaptiveEpoch) report(rr *RunResult) {
+	if a == nil {
+		return
 	}
+	rr.Steers = a.ctrl.Steers()
+	rr.Onsets = a.ctrl.Detector().Onsets()
+	rr.FinalRoute = a.ctrl.Route().String()
+	rr.RehomedFlows = a.rehomedFlows
+	rr.RehomedBytes = a.rehomedBytes
+	rr.KeptDirect = a.keptDirect
+}
 
-	hostsDC0 := net.Hosts[0]
-	recv := net.Hosts[1][0]
-	proxyHost := hostsDC0[len(hostsDC0)-1]
-	senders := hostsDC0[:spec.Degree]
+// startAdaptive sets up the adaptive epoch on DC0's engine: the controller,
+// its queue signals and path probers, and the flows, which start direct
+// under the paced window (at IncastDelay) and are re-steered by the
+// controller's decisions.
+func startAdaptive(ep *epoch, spec Spec, cc control.Config, lw legWiring, t *tally,
+	recv, proxyHost *netsim.Host) *adaptiveEpoch {
+	net := ep.net
+	senders := net.Hosts[0][:spec.Degree]
 	shares := splitBytes(spec.TotalBytes, spec.Degree)
-	src := rng.New(seed)
-	until := units.Time(spec.MaxSimTime)
 
-	var allSenders []*transport.Sender
-	var allRxs []*transport.Receiver
-	ro := newRunObs(spec.Obs)
-	ro.wire(e, net, &allSenders, &allRxs)
-	ro.watchPorts(e, until, map[string]*netsim.Port{
-		"recv-tor":  net.DownToRPort(recv),
-		"proxy-tor": net.DownToRPort(proxyHost),
-	})
-
-	ctrl := control.NewController(cc, ro.reg)
+	ctrl := control.NewController(cc, ep.ro.reg)
+	ad := &adaptiveEpoch{ctrl: ctrl}
 	// The controller records its own decision timeline: detector
 	// onsets/decays and executed steers land on the trace's "control"
 	// track, interleaved with the flow events.
-	ctrl.SetTracer(ro.tracer)
+	ctrl.SetTracer(ep.ro.tracer)
 	recvSig := control.WatchPort("recv-tor", net.DownToRPort(recv), cc.HalfLife)
 	proxySig := control.WatchPort("proxy-tor", net.DownToRPort(proxyHost), cc.HalfLife)
 	ctrl.WatchReceiverQueue(recvSig)
@@ -177,66 +112,43 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 	// probe stuck behind a full bottleneck buffer is slow, not lost, and
 	// counting it lost would declare the proxy dead the moment our own
 	// steered epoch fills its ToR queue.
-	drain := cfg.LinkRate.TransmitTime(cc.OverflowBytes)
+	drain := net.Cfg.LinkRate.TransmitTime(cc.OverflowBytes)
 	probeTimeout := func(rtt units.Duration) units.Duration {
-		t := 4 * rtt
-		if floor := rtt + 2*drain; t < floor {
-			t = floor
+		to := 4 * rtt
+		if floor := rtt + 2*drain; to < floor {
+			to = floor
 		}
-		if t > cc.ProbeTimeout {
-			t = cc.ProbeTimeout
+		if to > cc.ProbeTimeout {
+			to = cc.ProbeTimeout
 		}
-		return t
+		return to
 	}
-	directPathRTT := net.PathRTT(senders[0], recv, spec.MSS, netsim.ControlSize)
-	proxyPathRTT := net.PathRTT(senders[0], proxyHost, spec.MSS, netsim.ControlSize)
 	control.BindEcho(recv, control.ProbeFlowBase)
 	control.NewProber(senders[0], recv.ID(), control.ProbeFlowBase,
-		ctrl.DirectEstimator(), cc.ProbeEvery, probeTimeout(directPathRTT),
-		src.Split(1001)).Start(e, until)
+		ctrl.DirectEstimator(), cc.ProbeEvery, probeTimeout(lw.rtt(senders[0], recv)),
+		lw.src.Split(1001)).Start(ep.e, ep.until)
 	control.BindEcho(proxyHost, control.ProbeFlowBase+1)
 	control.NewProber(senders[0], proxyHost.ID(), control.ProbeFlowBase+1,
-		ctrl.ProxyEstimator(), cc.ProbeEvery, probeTimeout(proxyPathRTT),
-		src.Split(1002)).Start(e, until)
+		ctrl.ProxyEstimator(), cc.ProbeEvery, probeTimeout(lw.rtt(senders[0], proxyHost)),
+		lw.src.Split(1002)).Start(ep.e, ep.until)
 
-	iwScale := spec.IWScale
-	if iwScale <= 0 {
-		iwScale = 1
-	}
-	scaleIW := func(bdp units.ByteSize) units.ByteSize {
-		return units.ByteSize(float64(bdp) * iwScale)
-	}
-	initRTO := func(rtt units.Duration, iw units.ByteSize) units.Duration {
-		return 3*rtt + cfg.LinkRate.TransmitTime(units.ByteSize(spec.Degree)*iw)
-	}
-	mkCfg := func(rtt units.Duration, iw units.ByteSize) transport.Config {
-		return transport.Config{
-			MSS:         spec.MSS,
-			InitWindow:  iw,
-			ExpectedRTT: rtt,
-			InitRTO:     initRTO(rtt, iw),
-			GeminiMode:  spec.Gemini,
-		}
-	}
 	directIW := make([]units.ByteSize, spec.Degree)
 	for i, snd := range senders {
-		rtt := net.PathRTT(snd, recv, spec.MSS, netsim.ControlSize)
-		directIW[i] = scaleIW(net.BottleneckRate(snd, recv).BDP(rtt))
+		directIW[i] = lw.initWindow(snd, recv, lw.rtt(snd, recv))
 	}
 
-	// Per-flow epoch state: each flow is a chain of legs, and the flow
-	// completes when every leg has delivered the bytes it owns. A frozen
-	// direct leg owns exactly what it had sent at freeze time; a re-homed
-	// leg owns the remainder.
-	type leg struct {
-		sender   *transport.Sender
-		receiver *transport.Receiver
-		need     units.ByteSize
-		met      bool
+	// Per-flow epoch state: each flow is a chain of parts, and the flow
+	// completes when every part has delivered the bytes it owns. A frozen
+	// direct part owns exactly what it had sent at freeze time; a
+	// re-homed part owns the remainder.
+	type part struct {
+		leg
+		need units.ByteSize
+		met  bool
 	}
 	type flowState struct {
 		share    units.ByteSize
-		legs     []*leg
+		parts    []*part
 		viaProxy bool
 	}
 	flows := make([]*flowState, spec.Degree)
@@ -244,81 +156,69 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		flows[i] = &flowState{share: shares[i]}
 	}
 	flowDone := make([]bool, spec.Degree)
-	completed := 0
-	var lastDone units.Time
-	var rehomedFlows, keptDirect int
-	var rehomedBytes units.ByteSize
 
-	// Flow completion times, receiver-side like the static paths: a flow is
-	// done when its last leg's receiver finishes, regardless of which path
-	// carried the suffix.
-	fcts := stats.NewBounded(fctReservoirCap, seed)
+	// A flow is done when its last part's receiver finishes, regardless
+	// of which path carried the suffix.
 	markDone := func(i int, at units.Time) {
 		if flowDone[i] {
 			return
 		}
 		flowDone[i] = true
-		completed++
-		if at > lastDone {
-			lastDone = at
-		}
-		fcts.AddDuration(at.Sub(units.Time(spec.IncastDelay)))
 		ctrl.FlowFinished(units.Duration(at)-spec.IncastDelay, flows[i].viaProxy)
-		if completed == spec.Degree {
-			e.Stop()
-		}
+		t.finish(at)
 	}
 	checkFlow := func(i int, at units.Time) {
-		for _, l := range flows[i].legs {
-			if !l.met {
+		for _, p := range flows[i].parts {
+			if !p.met {
 				return
 			}
 		}
 		markDone(i, at)
 	}
+	// live returns flow i's current part when the flow is unfinished and
+	// on the direct path (viaProxy false) or the proxy (viaProxy true).
+	live := func(i int, viaProxy bool) *part {
+		fs := flows[i]
+		if flowDone[i] || fs.viaProxy != viaProxy || len(fs.parts) == 0 {
+			return nil
+		}
+		return fs.parts[len(fs.parts)-1]
+	}
 
-	// addLeg creates and starts leg number ord of flow i on the given
+	// addPart creates and starts part number ord of flow i on the given
 	// route. iwCap, when positive, caps the initial window (the paced
 	// direct phase).
-	addLeg := func(e *sim.Engine, i, ord int, bytes units.ByteSize, viaProxy bool, iwCap units.ByteSize) *leg {
-		fs := flows[i]
-		snd := senders[i]
+	addPart := func(e *sim.Engine, i, ord int, bytes units.ByteSize, viaProxy bool, iwCap units.ByteSize) {
 		flow := adaptiveFlowID(i, ord)
-		l := &leg{need: bytes}
-		onDone := func(at units.Time) {
-			l.met = true
-			checkFlow(i, at)
+		p := &part{need: bytes}
+		ls := legSpec{
+			flow: flow, snd: senders[i], rcv: recv, bytes: bytes, iwCap: iwCap,
+			label: fmt.Sprintf("flow %d", flow),
+			done: func(at units.Time) {
+				p.met = true
+				checkFlow(i, at)
+			},
 		}
-		var rtt units.Duration
-		var s2 *transport.Sender
-		var r *transport.Receiver
 		if viaProxy {
-			rtt = net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize) +
-				net.PathRTT(proxyHost, recv, spec.MSS, netsim.ControlSize)
-			p := proxy.NewStreamlined(proxyHost, flow, snd.ID(), recv.ID(),
-				spec.ProxyProcDelay, src.Split(int64(flow)))
-			p.NoEarlyNack = spec.NoEarlyFeedback
-			proxyHost.Bind(flow, p)
-			r = transport.NewReceiver(recv, flow, proxyHost.ID(), bytes, onDone)
-			s2 = transport.NewSender(snd, flow, proxyHost.ID(), recv.ID(), bytes, mkCfg(rtt, capIW(scaleIW(net.BottleneckRate(snd, recv).BDP(rtt)), iwCap)), nil)
-		} else {
-			rtt = net.PathRTT(snd, recv, spec.MSS, netsim.ControlSize)
-			r = transport.NewReceiver(recv, flow, snd.ID(), bytes, onDone)
-			s2 = transport.NewSender(snd, flow, recv.ID(), 0, bytes, mkCfg(rtt, capIW(directIW[i], iwCap)), nil)
+			ls.via, ls.proxy = ProxyStreamlined, proxyHost
 		}
-		recv.Bind(flow, r)
-		l.sender, l.receiver = s2, r
-		if ord == 0 {
-			s2.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-		} else {
-			s2.Attach(ro.tel, fmt.Sprintf("flow %d (resteer)", flow))
+		if ord > 0 {
+			ls.label += " (resteer)"
 		}
-		snd.Bind(flow, s2)
-		allSenders = append(allSenders, s2)
-		allRxs = append(allRxs, r)
-		fs.legs = append(fs.legs, l)
-		s2.Start(e)
-		return l
+		p.leg = ep.track(lw.wire(ls))
+		flows[i].parts = append(flows[i].parts, p)
+		p.s.Start(e)
+	}
+
+	// rehome abandons part p — everything its receiver has not yet got
+	// moves — and reports the bytes to move.
+	rehome := func(p *part) units.ByteSize {
+		p.s.Abort()
+		got := p.r.Bytes()
+		remaining := p.need - got
+		p.need = got
+		p.met = true
+		return remaining
 	}
 
 	// steerToProxy executes one direct->proxy upgrade across all live
@@ -331,12 +231,10 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		// fit its buffer: the exposed prefix then completes on the
 		// direct path while only un-sent suffixes move.
 		var exposed units.ByteSize
-		for i, fs := range flows {
-			if flowDone[i] || fs.viaProxy || len(fs.legs) == 0 {
-				continue
+		for i := range flows {
+			if p := live(i, false); p != nil {
+				exposed += p.s.SentBytes() - p.r.Bytes()
 			}
-			l := fs.legs[len(fs.legs)-1]
-			exposed += l.sender.SentBytes() - l.receiver.Bytes()
 		}
 		safeBudget := units.ByteSize(cc.SafeDepthFrac * float64(cc.OverflowBytes))
 		suffix := recvSig.Drops() == 0 && exposed+recvSig.RawDepth() < safeBudget
@@ -344,55 +242,47 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		moved := 0
 		var kept units.ByteSize
 		for i, fs := range flows {
-			if flowDone[i] || fs.viaProxy || len(fs.legs) == 0 {
+			p := live(i, false)
+			if p == nil {
 				continue
 			}
-			l := fs.legs[len(fs.legs)-1]
 			// Partial rebalance: keep a prefix of flows direct while
 			// their whole shares fit the buffer budget. The kept
 			// subset streams over the otherwise-abandoned direct path
 			// in parallel with the proxied rest.
 			if suffix && kept+fs.share <= safeBudget {
 				kept += fs.share
-				keptDirect++
-				l.sender.Boost(e, directIW[i])
+				ad.keptDirect++
+				p.s.Boost(e, directIW[i])
 				continue
 			}
 			var remaining units.ByteSize
 			if suffix {
-				sent := l.sender.SentBytes()
-				remaining = l.need - sent
+				sent := p.s.SentBytes()
+				remaining = p.need - sent
 				if remaining <= 0 {
 					continue // fully exposed; nothing left to move
 				}
-				l.sender.FreezeNew()
-				l.need = sent
-				if l.receiver.Bytes() >= l.need {
-					l.met = true
+				p.s.FreezeNew()
+				p.need = sent
+				if p.r.Bytes() >= p.need {
+					p.met = true
 				} else {
-					li, ll := i, l
-					l.receiver.OnData = func(e2 *sim.Engine, _ *netsim.Packet) {
-						if !ll.met && ll.receiver.Bytes() >= ll.need {
-							ll.met = true
-							checkFlow(li, e2.Now())
+					p.r.OnData = func(e2 *sim.Engine, _ *netsim.Packet) {
+						if !p.met && p.r.Bytes() >= p.need {
+							p.met = true
+							checkFlow(i, e2.Now())
 						}
 					}
 				}
-			} else {
-				l.sender.Abort()
-				got := l.receiver.Bytes()
-				remaining = l.need - got
-				l.need = got
-				l.met = true
-				if remaining <= 0 {
-					checkFlow(i, now)
-					continue
-				}
+			} else if remaining = rehome(p); remaining <= 0 {
+				checkFlow(i, now)
+				continue
 			}
 			fs.viaProxy = true
-			addLeg(e, i, len(fs.legs), remaining, true, 0)
-			rehomedFlows++
-			rehomedBytes += remaining
+			addPart(e, i, len(fs.parts), remaining, true, 0)
+			ad.rehomedFlows++
+			ad.rehomedBytes += remaining
 			moved++
 		}
 		return moved > 0
@@ -405,23 +295,19 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		now := e.Now()
 		moved := 0
 		for i, fs := range flows {
-			if flowDone[i] || !fs.viaProxy {
+			p := live(i, true)
+			if p == nil {
 				continue
 			}
-			l := fs.legs[len(fs.legs)-1]
-			l.sender.Abort()
-			got := l.receiver.Bytes()
-			remaining := l.need - got
-			l.need = got
-			l.met = true
+			remaining := rehome(p)
 			fs.viaProxy = false
 			if remaining <= 0 {
 				checkFlow(i, now)
 				continue
 			}
-			addLeg(e, i, len(fs.legs), remaining, false, 0)
-			rehomedFlows++
-			rehomedBytes += remaining
+			addPart(e, i, len(fs.parts), remaining, false, 0)
+			ad.rehomedFlows++
+			ad.rehomedBytes += remaining
 			moved++
 		}
 		return moved > 0
@@ -438,7 +324,7 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		}
 		return false
 	})
-	ctrl.Start(e, until)
+	ctrl.Start(ep.e, ep.until)
 
 	// The epoch itself: every flow announces its share to the controller
 	// and starts direct under the paced window; pacing is released two
@@ -446,70 +332,20 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 	startEpoch := func(e *sim.Engine) {
 		for i := range flows {
 			ctrl.FlowStarted(flows[i].share)
-			addLeg(e, i, 0, flows[i].share, false, cc.PaceWindow)
+			addPart(e, i, 0, flows[i].share, false, cc.PaceWindow)
 		}
 		e.Schedule(e.Now().Add(2*cc.SamplePeriod), func(e *sim.Engine) {
-			for i, fs := range flows {
-				if flowDone[i] || fs.viaProxy || len(fs.legs) == 0 {
-					continue
+			for i := range flows {
+				if p := live(i, false); p != nil {
+					p.s.Boost(e, directIW[i])
 				}
-				fs.legs[len(fs.legs)-1].sender.Boost(e, directIW[i])
 			}
 		})
 	}
 	if spec.IncastDelay > 0 {
-		e.Schedule(units.Time(spec.IncastDelay), startEpoch)
+		ep.e.Schedule(units.Time(spec.IncastDelay), startEpoch)
 	} else {
-		startEpoch(e)
+		startEpoch(ep.e)
 	}
-
-	if err := startCrossTraffic(e, net, spec, proxyHost, ro); err != nil {
-		return RunResult{}, err
-	}
-	injectProxyFaults(e, spec, proxyHost, seed, ro)
-
-	e.RunUntil(until)
-
-	rr := RunResult{
-		ICT:       units.Duration(lastDone),
-		Completed: completed == spec.Degree,
-		Events:    e.Processed(),
-	}
-	for _, s := range allSenders {
-		rr.Timeouts += s.Stats.Timeouts
-		rr.Retransmits += s.Stats.Retransmits
-		rr.Nacks += s.Stats.Nacks
-		rr.MarkedAcks += s.Stats.MarkedAcks
-		rr.PktsSent += s.Stats.PktsSent
-	}
-	rst := net.DownToRPort(recv).Stats()
-	pst := net.DownToRPort(proxyHost).Stats()
-	rr.ReceiverToRMaxQueue = rst.MaxBytes
-	rr.ReceiverToRDrops = rst.Dropped
-	rr.ProxyToRMaxQueue = pst.MaxBytes
-	rr.ProxyToRTrims = pst.Trimmed
-	rr.ProxyToRDrops = pst.Dropped
-	rr.Steers = ctrl.Steers()
-	rr.Onsets = ctrl.Detector().Onsets()
-	rr.FinalRoute = ctrl.Route().String()
-	rr.RehomedFlows = rehomedFlows
-	rr.RehomedBytes = rehomedBytes
-	rr.KeptDirect = keptDirect
-	rr.FlowFCT = stats.SummarizeDurations(fcts)
-	rr.Manifest = ro.manifest(seed, spec.fingerprintString())
-	rr.Trace = ro.tracer
-
-	if !rr.Completed {
-		return rr, fmt.Errorf("adaptive incast incomplete after %v: %d/%d flows done",
-			spec.MaxSimTime, completed, spec.Degree)
-	}
-	return rr, nil
-}
-
-// capIW caps an initial window at cap when cap is positive.
-func capIW(iw, cap units.ByteSize) units.ByteSize {
-	if cap > 0 && iw > cap {
-		return cap
-	}
-	return iw
+	return ad
 }

@@ -44,6 +44,16 @@ func TestChaosValidate(t *testing.T) {
 	if err := bad.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Chaos runs are single-shard only (the blackhole fault toggles
+	// backbone ports other shards own): refused, not run on one shard.
+	bad = quickChaos(FailoverStandby)
+	bad.Incast.Shards = 2
+	if err := bad.Validate(); err == nil {
+		t.Fatal("Shards=2 must be rejected")
+	}
+	if _, err := RunChaos(bad); err == nil {
+		t.Fatal("RunChaos ran with Shards=2")
+	}
 }
 
 func TestChaosFailoverStandbyCompletes(t *testing.T) {

@@ -96,16 +96,19 @@ type Spec struct {
 	// hook runs concurrently and must be goroutine-safe.
 	Parallel int
 
-	// Shards >= 1 runs each trial on a sharded parallel event engine
-	// (sim.ShardGroup): the fabric is partitioned per topo.PlanShards
-	// (each DC its own shard, backbones split further) and synchronized
-	// by a conservative-lookahead barrier over the long-haul link delay.
-	// Results are byte-identical for a given seed at every shard count
-	// and every ShardWorkers value; like Parallel, neither knob enters
-	// the config hash. Shards = 0 (the default) keeps the classic
-	// single-engine path. The sharded path supports every scheme except
-	// SchemeAdaptive, and rejects OnBuild hooks and Obs.Trace (both
-	// assume a single engine).
+	// Shards partitions each trial's fabric across the event shards of
+	// its sim.ShardGroup, the one runtime every run path uses: each DC is
+	// its own shard and backbones split further (topo.PlanShards), with
+	// the shards synchronized by a conservative-lookahead barrier over the
+	// long-haul link delay. Results are byte-identical for a given seed at
+	// every shard count and every ShardWorkers value; like Parallel,
+	// neither knob enters the config hash. Shards = 0 (the default) runs a
+	// single shard that stops right after the completing event; Shards
+	// >= 1 stops at the barrier round, so a run's lifetime Events count is
+	// the one field that differs between 0 and 1. Shards >= 1 rejects
+	// SchemeAdaptive, OnBuild hooks and Obs.Trace: the controller reads the
+	// receiver ToR on DC1's shard, and hooks and the tracer are not
+	// shard-safe.
 	Shards int
 	// ShardWorkers bounds the goroutines running shard rounds; 0 means
 	// one per shard. Purely an execution knob: results never depend on
@@ -234,6 +237,8 @@ func (s Spec) Validate() error {
 			s.Degree, s.CrossTraffic.Flows, hostsPerDC-1)
 	case s.Shards < 0:
 		return fmt.Errorf("workload: Shards must be >= 0, got %d", s.Shards)
+	case s.Scheme < Baseline || s.Scheme > SchemeAdaptive:
+		return fmt.Errorf("workload: unknown scheme %v", s.Scheme)
 	}
 	if s.Shards >= 1 {
 		switch {
@@ -343,129 +348,81 @@ func Run(spec Spec) (*Result, error) {
 	return res, nil
 }
 
-// runOnce builds a fresh fabric and simulates one incast.
+// runOnce builds a fresh epoch and simulates one incast.
 func runOnce(spec Spec, seed int64) (RunResult, error) {
-	if spec.Scheme == SchemeAdaptive {
-		return runAdaptive(spec, seed)
-	}
-	if spec.Shards >= 1 {
-		return runOnceSharded(spec, seed)
-	}
-	e := sim.New()
 	cfg := spec.Topo
 	cfg.Seed = seed
-	if spec.Scheme == ProxyStreamlined {
+	// Streamlined relaying trims in the sending DC. The adaptive scheme
+	// needs it from the first steered byte, and it does not hurt the
+	// direct phase: its congestion point is the remote ToR.
+	if spec.Scheme == ProxyStreamlined || spec.Scheme == SchemeAdaptive {
 		cfg.TrimDC[0] = true
 	}
 	if spec.TrimReceiverDC {
 		cfg.TrimDC[1] = true
 	}
-	net := topo.Build(e, cfg)
-	if spec.OnBuild != nil {
-		spec.OnBuild(net, e)
+	var cc control.Config
+	if spec.Scheme == SchemeAdaptive {
+		var err error
+		if cc, err = adaptiveControl(spec.Control, cfg); err != nil {
+			return RunResult{}, err
+		}
 	}
-
-	hostsDC0 := net.Hosts[0]
-	recv := net.Hosts[1][0]
-	proxyHost := hostsDC0[len(hostsDC0)-1]
-
-	src := rng.New(seed)
-
-	var txSenders []*transport.Sender
-	var rxs []*transport.Receiver
-	ro := newRunObs(spec.Obs)
-	ro.wire(e, net, &txSenders, &rxs)
-	ro.watchPorts(e, units.Time(spec.MaxSimTime), map[string]*netsim.Port{
-		"recv-tor":  net.DownToRPort(recv),
-		"proxy-tor": net.DownToRPort(proxyHost),
+	ep, err := buildEpoch(epochConfig{
+		topo: cfg, shards: spec.Shards, workers: spec.ShardWorkers,
+		obs: spec.Obs, onBuild: spec.OnBuild, until: units.Time(spec.MaxSimTime),
 	})
-
-	completedFlows := 0
-	var lastDone units.Time
-	fcts := stats.NewBounded(fctReservoirCap, seed)
-	onFlowDone := func(at units.Time) {
-		completedFlows++
-		if at > lastDone {
-			lastDone = at
-		}
-		// Receiver-side FCT: flows launch at IncastDelay, so completion
-		// minus launch is the flow's wall time. Measured here because
-		// the run stops the instant the last receiver finishes — the
-		// senders never see their final ACKs.
-		fcts.AddDuration(at.Sub(units.Time(spec.IncastDelay)))
-		if completedFlows == spec.Degree {
-			// All receivers finished: nothing left worth
-			// simulating (stray timers would only re-fire).
-			e.Stop()
-		}
-	}
-
-	inferGroup, err := buildFlows(e, net, spec, src, ro, recv, proxyHost,
-		onFlowDone, &txSenders, &rxs)
 	if err != nil {
 		return RunResult{}, err
 	}
+	recv, proxyHost := incastHosts(ep.net)
+	ep.watch(map[string]*netsim.Port{
+		"recv-tor":  ep.net.DownToRPort(recv),
+		"proxy-tor": ep.net.DownToRPort(proxyHost),
+	})
+	lw := newLegWiring(ep, spec, rng.New(seed))
+	t := newTally(ep, spec.Degree, spec.IncastDelay, seed)
 
-	if err := startCrossTraffic(e, net, spec, proxyHost, ro); err != nil {
+	var ad *adaptiveEpoch
+	if spec.Scheme == SchemeAdaptive {
+		ad = startAdaptive(ep, spec, cc, lw, t, recv, proxyHost)
+	} else {
+		buildFlows(ep, spec, &lw, t, recv, proxyHost)
+	}
+	if err := ep.startCrossTraffic(spec, lw, proxyHost); err != nil {
 		return RunResult{}, err
 	}
-	injectProxyFaults(e, spec, proxyHost, seed, ro)
+	ep.injectProxyFaults(spec, proxyHost, seed)
 
-	e.RunUntil(units.Time(spec.MaxSimTime))
-
-	rr := RunResult{
-		ICT:       units.Duration(lastDone),
-		Completed: completedFlows == spec.Degree,
-		Events:    e.Processed(),
-	}
-	collectRunStats(&rr, net, recv, proxyHost, txSenders, inferGroup, fcts)
-	rr.Manifest = ro.manifest(seed, spec.fingerprintString())
-	rr.Trace = ro.tracer
+	rr := t.result(ep.run())
+	collectRunStats(&rr, ep, recv, proxyHost, lw.infer)
+	ad.report(&rr)
+	rr.Manifest = ep.ro.manifest(seed, spec.fingerprintString())
+	rr.Trace = ep.ro.tracer
 
 	if !rr.Completed {
-		return rr, fmt.Errorf("incast incomplete after %v: %d/%d flows done",
-			spec.MaxSimTime, completedFlows, spec.Degree)
+		kind := "incast"
+		if ad != nil {
+			kind = "adaptive incast"
+		}
+		return rr, fmt.Errorf("%s incomplete after %v: %d/%d flows done",
+			kind, spec.MaxSimTime, t.done, spec.Degree)
 	}
 	return rr, nil
 }
 
-// buildFlows constructs the incast flows of every non-adaptive scheme on
-// engine e (which must own the sending datacenter: senders and the proxy
-// host live there) and arranges their starts. It appends the created
-// senders and receivers to the slices the caller registered with the
-// observability layer, and returns the ProxyInferring group when that
-// scheme is selected.
-func buildFlows(e *sim.Engine, net *topo.Network, spec Spec, src *rng.Source,
-	ro *runObs, recv, proxyHost *netsim.Host, onFlowDone func(units.Time),
-	txSenders *[]*transport.Sender, rxs *[]*transport.Receiver) (*proxy.InferringGroup, error) {
-	iwScale := spec.IWScale
-	if iwScale <= 0 {
-		iwScale = 1
-	}
-	scaleIW := func(bdp units.ByteSize) units.ByteSize {
-		return units.ByteSize(float64(bdp) * iwScale)
-	}
-	// The first RTT observed by a sender includes the queueing its own
-	// cohort inflicts: up to Degree initial windows draining through one
-	// bottleneck link. The initial RTO must exceed that, or timers fire
-	// spuriously before the first RTT sample arrives.
-	initRTO := func(rtt units.Duration, iw units.ByteSize) units.Duration {
-		return 3*rtt + net.Cfg.LinkRate.TransmitTime(units.ByteSize(spec.Degree)*iw)
-	}
+// incastHosts returns an incast's receiver (DC1's first host) and proxy
+// (DC0's last host).
+func incastHosts(net *topo.Network) (recv, proxyHost *netsim.Host) {
+	hostsDC0 := net.Hosts[0]
+	return net.Hosts[1][0], hostsDC0[len(hostsDC0)-1]
+}
 
-	senders := net.Hosts[0][:spec.Degree]
-	shares := splitBytes(spec.TotalBytes, spec.Degree)
-
-	// start launches a sender at IncastDelay (immediately when zero).
-	start := func(s *transport.Sender) {
-		if spec.IncastDelay > 0 {
-			e.Schedule(units.Time(spec.IncastDelay), s.Start)
-		} else {
-			s.Start(e)
-		}
-	}
-
-	var inferGroup *proxy.InferringGroup
+// buildFlows wires the incast flows of every static scheme from DC0's first
+// Degree hosts and arranges their starts at IncastDelay. For ProxyInferring
+// it first starts the proxy's shared loss-inferring group and records it
+// on lw.
+func buildFlows(ep *epoch, spec Spec, lw *legWiring, t *tally, recv, proxyHost *netsim.Host) {
 	if spec.Scheme == ProxyInferring {
 		tc := spec.InferTracker
 		if tc.WindowPkts == 0 {
@@ -474,147 +431,28 @@ func buildFlows(e *sim.Engine, net *topo.Network, spec Spec, src *rng.Source,
 		if tc.ReorderDelay == 0 {
 			tc.ReorderDelay = 100 * units.Microsecond
 		}
-		inferGroup = proxy.NewInferringGroup(proxyHost, tc, spec.InferFlushEvery,
-			spec.ProxyProcDelay, src.Split(999))
-		inferGroup.Start(e, units.Time(spec.MaxSimTime))
+		lw.infer = proxy.NewInferringGroup(proxyHost, tc, spec.InferFlushEvery,
+			spec.ProxyProcDelay, lw.src.Split(999))
+		lw.infer.Start(ep.e, ep.until)
 	}
-
-	for i, snd := range senders {
+	shares := splitBytes(spec.TotalBytes, spec.Degree)
+	for i, snd := range ep.net.Hosts[0][:spec.Degree] {
 		flow := netsim.FlowID(i + 1)
-		share := shares[i]
-		switch spec.Scheme {
-		case Baseline:
-			rtt := net.PathRTT(snd, recv, spec.MSS, netsim.ControlSize)
-			iw := scaleIW(net.BottleneckRate(snd, recv).BDP(rtt))
-			c := transport.Config{
-				MSS:         spec.MSS,
-				InitWindow:  iw,
-				ExpectedRTT: rtt,
-				InitRTO:     initRTO(rtt, iw),
-				GeminiMode:  spec.Gemini,
-			}
-			r := transport.NewReceiver(recv, flow, snd.ID(), share, onFlowDone)
-			recv.Bind(flow, r)
-			s := transport.NewSender(snd, flow, recv.ID(), 0, share, c, nil)
-			s.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-			snd.Bind(flow, s)
-			*txSenders = append(*txSenders, s)
-			*rxs = append(*rxs, r)
-			start(s)
-
-		case ProxyStreamlined:
-			rtt := net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize) +
-				net.PathRTT(proxyHost, recv, spec.MSS, netsim.ControlSize)
-			iw := scaleIW(net.BottleneckRate(snd, recv).BDP(rtt))
-			c := transport.Config{
-				MSS:         spec.MSS,
-				InitWindow:  iw,
-				ExpectedRTT: rtt,
-				InitRTO:     initRTO(rtt, iw),
-				GeminiMode:  spec.Gemini,
-			}
-			p := proxy.NewStreamlined(proxyHost, flow, snd.ID(), recv.ID(),
-				spec.ProxyProcDelay, src.Split(int64(flow)))
-			p.NoEarlyNack = spec.NoEarlyFeedback
-			proxyHost.Bind(flow, p)
-			r := transport.NewReceiver(recv, flow, proxyHost.ID(), share, onFlowDone)
-			recv.Bind(flow, r)
-			s := transport.NewSender(snd, flow, proxyHost.ID(), recv.ID(), share, c, nil)
-			s.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-			snd.Bind(flow, s)
-			*txSenders = append(*txSenders, s)
-			*rxs = append(*rxs, r)
-			start(s)
-
-		case ProxyInferring:
-			rtt := net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize) +
-				net.PathRTT(proxyHost, recv, spec.MSS, netsim.ControlSize)
-			iw := scaleIW(net.BottleneckRate(snd, recv).BDP(rtt))
-			c := transport.Config{
-				MSS:         spec.MSS,
-				InitWindow:  iw,
-				ExpectedRTT: rtt,
-				InitRTO:     initRTO(rtt, iw),
-				GeminiMode:  spec.Gemini,
-			}
-			inferGroup.AddFlow(flow, snd.ID(), recv.ID())
-			r := transport.NewReceiver(recv, flow, proxyHost.ID(), share, onFlowDone)
-			recv.Bind(flow, r)
-			s := transport.NewSender(snd, flow, proxyHost.ID(), recv.ID(), share, c, nil)
-			s.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-			snd.Bind(flow, s)
-			*txSenders = append(*txSenders, s)
-			*rxs = append(*rxs, r)
-			start(s)
-
-		case ProxyNaive:
-			downFlow := flow + netsim.FlowID(1)<<20
-			rttUp := net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize)
-			rttDown := net.PathRTT(proxyHost, recv, spec.MSS, netsim.ControlSize)
-			iwUp := scaleIW(net.BottleneckRate(snd, proxyHost).BDP(rttUp))
-			iwDown := scaleIW(net.BottleneckRate(proxyHost, recv).BDP(rttDown))
-			upCfg := transport.Config{
-				MSS:         spec.MSS,
-				InitWindow:  iwUp,
-				ExpectedRTT: rttUp,
-				InitRTO:     initRTO(rttUp, iwUp),
-				GeminiMode:  spec.Gemini,
-			}
-			relay := proxy.NewNaive(proxyHost, flow, downFlow, snd.ID(), recv.ID(),
-				proxy.NaiveConfig{
-					Total: share,
-					DownCfg: transport.Config{
-						MSS:         spec.MSS,
-						InitWindow:  iwDown,
-						ExpectedRTT: rttDown,
-						InitRTO:     initRTO(rttDown, iwDown),
-						GeminiMode:  spec.Gemini,
-					},
-				})
-			r := transport.NewReceiver(recv, downFlow, proxyHost.ID(), share, onFlowDone)
-			recv.Bind(downFlow, r)
-			s := transport.NewSender(snd, flow, proxyHost.ID(), 0, share, upCfg, nil)
-			s.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-			snd.Bind(flow, s)
-			*txSenders = append(*txSenders, s)
-			*rxs = append(*rxs, r)
-			relay.Start(e)
-			start(s)
-
-		default:
-			return nil, fmt.Errorf("unknown scheme %v", spec.Scheme)
+		l := ep.track(lw.wire(legSpec{
+			flow: flow, snd: snd, rcv: recv, bytes: shares[i],
+			via: spec.Scheme, proxy: proxyHost,
+			label: fmt.Sprintf("flow %d", flow), done: t.finish,
+		}))
+		// A naive relay listens from time zero; senders launch at
+		// IncastDelay.
+		if l.relay != nil {
+			l.relay.Start(ep.e)
 		}
-	}
-	return inferGroup, nil
-}
-
-// fctReservoirCap bounds the per-run FCT sample: above this many flows the
-// percentile summary becomes a deterministic uniform-reservoir estimate.
-const fctReservoirCap = 4096
-
-// collectRunStats fills rr's sender aggregates, bottleneck telemetry, the
-// FlowFCT summary (from the run's bounded per-flow sample), and
-// inferring-proxy error counters from the finished run's objects. Shared by
-// the single-engine and sharded paths so both report identically.
-func collectRunStats(rr *RunResult, net *topo.Network, recv, proxyHost *netsim.Host,
-	txSenders []*transport.Sender, inferGroup *proxy.InferringGroup, fcts *stats.Sample) {
-	for _, s := range txSenders {
-		rr.Timeouts += s.Stats.Timeouts
-		rr.Retransmits += s.Stats.Retransmits
-		rr.Nacks += s.Stats.Nacks
-		rr.MarkedAcks += s.Stats.MarkedAcks
-		rr.PktsSent += s.Stats.PktsSent
-	}
-	rr.FlowFCT = stats.SummarizeDurations(fcts)
-	rst := net.DownToRPort(recv).Stats()
-	pst := net.DownToRPort(proxyHost).Stats()
-	rr.ReceiverToRMaxQueue = rst.MaxBytes
-	rr.ReceiverToRDrops = rst.Dropped
-	rr.ProxyToRMaxQueue = pst.MaxBytes
-	rr.ProxyToRTrims = pst.Trimmed
-	rr.ProxyToRDrops = pst.Dropped
-	if inferGroup != nil {
-		rr.ProxyFalseNacks = inferGroup.Stats.FalseNacks
+		if spec.IncastDelay > 0 {
+			ep.e.Schedule(units.Time(spec.IncastDelay), l.s.Start)
+		} else {
+			l.s.Start(ep.e)
+		}
 	}
 }
 

@@ -66,23 +66,12 @@ func newRunObs(oc *ObsConfig) *runObs {
 	return ro
 }
 
-// wire instruments the engine, the fabric, and the (growing) sender and
-// receiver slices. Call once after topo.Build, before flows start.
-func (ro *runObs) wire(e *sim.Engine, net *topo.Network,
-	senders *[]*transport.Sender, receivers *[]*transport.Receiver) {
-	e.Instrument(ro.reg)
-	net.Instrument(ro.reg)
-	net.SetTracer(ro.tracer)
-	ro.tel = transport.NewTelemetry(ro.reg, ro.tracer)
-	transport.InstrumentSenders(ro.reg, senders)
-	transport.InstrumentReceivers(ro.reg, receivers)
-}
-
-// wireSharded is wire for the sharded runtime: the shard group (rather than
-// one engine) exports the sim_* series. Every value the group exports is a
-// pure function of the simulation content — not of the partition — so
-// manifests stay byte-identical across shard and worker counts.
-func (ro *runObs) wireSharded(g *sim.ShardGroup, net *topo.Network,
+// wire instruments the shard group, the fabric, and the (growing) sender
+// and receiver slices. Call once after topo.Build, before flows start. The
+// group exports the sim_* series; every value it exports is a pure function
+// of the simulation content, not of the partition, so manifests stay
+// byte-identical across shard and worker counts.
+func (ro *runObs) wire(g *sim.ShardGroup, net *topo.Network,
 	senders *[]*transport.Sender, receivers *[]*transport.Receiver) {
 	g.Instrument(ro.reg)
 	net.Instrument(ro.reg)
@@ -141,6 +130,11 @@ func (ro *runObs) manifest(seed int64, config string) *obs.Manifest {
 // the trials is an execution detail, and serial, parallel, and sharded runs
 // of one spec must produce byte-identical manifests.
 func (s Spec) fingerprintString() string {
+	return fmt.Sprintf("%+v", s.identity())
+}
+
+// identity is s without the fields fingerprintString excludes.
+func (s Spec) identity() Spec {
 	s.OnBuild = nil
 	s.ProxyProcDelay = nil
 	s.Obs = nil
@@ -148,17 +142,12 @@ func (s Spec) fingerprintString() string {
 	s.Parallel = 0
 	s.Shards = 0
 	s.ShardWorkers = 0
-	return fmt.Sprintf("%+v", s)
+	return s
 }
 
-// fingerprintString renders the chaos spec for config hashing.
+// fingerprintString renders the chaos spec for config hashing, with the
+// embedded incast reduced as in Spec.fingerprintString.
 func (spec ChaosSpec) fingerprintString() string {
-	spec.Incast.OnBuild = nil
-	spec.Incast.ProxyProcDelay = nil
-	spec.Incast.Obs = nil
-	spec.Incast.Seed = 0
-	spec.Incast.Parallel = 0
-	spec.Incast.Shards = 0
-	spec.Incast.ShardWorkers = 0
+	spec.Incast = spec.Incast.identity()
 	return fmt.Sprintf("%+v", spec)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"incastproxy/internal/netsim"
-	"incastproxy/internal/proxy"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/runner"
 	"incastproxy/internal/sim"
@@ -114,6 +113,8 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("workload: flow %d: bad proxy ref %v", i, f.Via.At)
 		case f.Via != nil && f.Via.Scheme == Baseline:
 			return fmt.Errorf("workload: flow %d: Via with Baseline scheme is contradictory", i)
+		case f.Via != nil && f.Via.Scheme != ProxyNaive && f.Via.Scheme != ProxyStreamlined:
+			return fmt.Errorf("workload: flow %d: scenarios relay through naive or streamlined proxies, not %v", i, f.Via.Scheme)
 		}
 		seen[f.ID] = true
 	}
@@ -126,7 +127,6 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	e := sim.New()
 	cfg := sc.Topo
 	cfg.Seed = sc.Seed
 	// Streamlined relaying needs trimming in each proxy's datacenter.
@@ -135,11 +135,15 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 			cfg.TrimDC[f.Via.At.DC] = true
 		}
 	}
-	net := topo.Build(e, cfg)
-	if sc.OnBuild != nil {
-		sc.OnBuild(net, e)
+	ep, err := buildEpoch(epochConfig{
+		topo: cfg, obs: &ObsConfig{Disable: true}, onBuild: sc.OnBuild,
+		until: units.Time(sc.MaxSimTime),
+	})
+	if err != nil {
+		return nil, err
 	}
-	src := rng.New(sc.Seed)
+	lw := legWiring{net: ep.net, src: rng.New(sc.Seed), mss: sc.MSS,
+		iwScale: 1, procDelay: sc.ProxyProcDelay}
 
 	// Fan-in counts size each flow's initial RTO: the first-window burst
 	// of every flow converging on the same destination (or proxy) queues
@@ -154,29 +158,31 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 
 	res := &ScenarioResult{Done: make(map[netsim.FlowID]units.Duration, len(sc.Flows))}
 	remaining := len(sc.Flows)
+	host := func(h HostRef) *netsim.Host { return ep.net.Hosts[h.DC][h.Host] }
 	for _, f := range sc.Flows {
-		f := f
-		done := func(at units.Time) {
-			res.Done[f.ID] = units.Duration(at)
-			if units.Duration(at) > res.Makespan {
-				res.Makespan = units.Duration(at)
-			}
-			remaining--
-			if remaining == 0 {
-				e.Stop()
-			}
+		ls := legSpec{
+			flow: f.ID, snd: host(f.Src), rcv: host(f.Dst), bytes: f.Bytes,
+			done: func(at units.Time) {
+				res.Done[f.ID] = units.Duration(at)
+				if units.Duration(at) > res.Makespan {
+					res.Makespan = units.Duration(at)
+				}
+				remaining--
+				if remaining == 0 {
+					ep.stop()
+				}
+			},
 		}
-		deg := fanIn[f.Dst]
-		if f.Via != nil && fanIn[f.Via.At] > deg {
-			deg = fanIn[f.Via.At]
+		lw.cohort = fanIn[f.Dst]
+		if f.Via != nil {
+			ls.via, ls.proxy = f.Via.Scheme, host(f.Via.At)
+			lw.cohort = max(lw.cohort, fanIn[f.Via.At])
 		}
-		start := wireFlow(e, net, src, f, sc.MSS, sc.ProxyProcDelay, deg, done)
-		e.Schedule(units.Time(f.Start), start)
+		ep.e.Schedule(units.Time(f.Start), lw.wire(ls).start)
 	}
 
-	e.RunUntil(units.Time(sc.MaxSimTime))
+	res.Events = ep.run()
 	res.Completed = remaining == 0
-	res.Events = e.Processed()
 	if !res.Completed {
 		return res, fmt.Errorf("scenario incomplete after %v: %d flows unfinished",
 			sc.MaxSimTime, remaining)
@@ -200,71 +206,4 @@ func RunScenarios(scs []Scenario, parallel int) ([]*ScenarioResult, error) {
 		}
 		return res, nil
 	})
-}
-
-// wireFlow installs endpoints for one flow and returns its start event.
-// fanIn is the number of flows converging on this flow's hottest hop,
-// used to size the initial RTO above self-inflicted first-window queueing.
-func wireFlow(e *sim.Engine, net *topo.Network, src *rng.Source, f FlowSpec,
-	mss units.ByteSize, procDelay rng.Distribution, fanIn int, done func(units.Time)) sim.Event {
-	sndHost := net.Hosts[f.Src.DC][f.Src.Host]
-	rcvHost := net.Hosts[f.Dst.DC][f.Dst.Host]
-	if fanIn < 1 {
-		fanIn = 1
-	}
-	initRTO := func(rtt units.Duration, iw units.ByteSize) units.Duration {
-		return 3*rtt + net.Cfg.LinkRate.TransmitTime(units.ByteSize(fanIn)*iw)
-	}
-
-	if f.Via == nil {
-		rtt := net.PathRTT(sndHost, rcvHost, mss, netsim.ControlSize)
-		iw := net.BottleneckRate(sndHost, rcvHost).BDP(rtt)
-		c := transport.Config{MSS: mss, InitWindow: iw, ExpectedRTT: rtt, InitRTO: initRTO(rtt, iw)}
-		r := transport.NewReceiver(rcvHost, f.ID, sndHost.ID(), f.Bytes, done)
-		rcvHost.Bind(f.ID, r)
-		s := transport.NewSender(sndHost, f.ID, rcvHost.ID(), 0, f.Bytes, c, nil)
-		sndHost.Bind(f.ID, s)
-		return func(e *sim.Engine) { s.Start(e) }
-	}
-
-	prxHost := net.Hosts[f.Via.At.DC][f.Via.At.Host]
-	switch f.Via.Scheme {
-	case ProxyStreamlined:
-		rtt := net.PathRTT(sndHost, prxHost, mss, netsim.ControlSize) +
-			net.PathRTT(prxHost, rcvHost, mss, netsim.ControlSize)
-		iw := net.BottleneckRate(sndHost, rcvHost).BDP(rtt)
-		c := transport.Config{MSS: mss, InitWindow: iw, ExpectedRTT: rtt, InitRTO: initRTO(rtt, iw)}
-		p := proxy.NewStreamlined(prxHost, f.ID, sndHost.ID(), rcvHost.ID(), procDelay, src.Split(int64(f.ID)))
-		prxHost.Bind(f.ID, p)
-		r := transport.NewReceiver(rcvHost, f.ID, prxHost.ID(), f.Bytes, done)
-		rcvHost.Bind(f.ID, r)
-		s := transport.NewSender(sndHost, f.ID, prxHost.ID(), rcvHost.ID(), f.Bytes, c, nil)
-		sndHost.Bind(f.ID, s)
-		return func(e *sim.Engine) { s.Start(e) }
-
-	default: // ProxyNaive
-		downFlow := f.ID + netsim.FlowID(1)<<20
-		rttUp := net.PathRTT(sndHost, prxHost, mss, netsim.ControlSize)
-		rttDown := net.PathRTT(prxHost, rcvHost, mss, netsim.ControlSize)
-		iwUp := net.BottleneckRate(sndHost, prxHost).BDP(rttUp)
-		iwDown := net.BottleneckRate(prxHost, rcvHost).BDP(rttDown)
-		upCfg := transport.Config{MSS: mss, InitWindow: iwUp, ExpectedRTT: rttUp, InitRTO: initRTO(rttUp, iwUp)}
-		relay := proxy.NewNaive(prxHost, f.ID, downFlow, sndHost.ID(), rcvHost.ID(), proxy.NaiveConfig{
-			Total: f.Bytes,
-			DownCfg: transport.Config{
-				MSS:         mss,
-				InitWindow:  iwDown,
-				ExpectedRTT: rttDown,
-				InitRTO:     initRTO(rttDown, iwDown),
-			},
-		})
-		r := transport.NewReceiver(rcvHost, downFlow, prxHost.ID(), f.Bytes, done)
-		rcvHost.Bind(downFlow, r)
-		s := transport.NewSender(sndHost, f.ID, prxHost.ID(), 0, f.Bytes, upCfg, nil)
-		sndHost.Bind(f.ID, s)
-		return func(e *sim.Engine) {
-			relay.Start(e)
-			s.Start(e)
-		}
-	}
 }
